@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use maritime::prelude::*;
 use maritime_bench::{Scale, Workload};
-use maritime_cer::{partition, spatial, Knowledge, MaritimeRecognizer, SpatialMode};
+use maritime_cer::{spatial, Knowledge, MaritimeRecognizer, SpatialMode};
 
 fn recognize_all(
     events: &[(Timestamp, maritime_cer::InputEvent)],
@@ -58,43 +58,6 @@ fn bench_recognition_modes(c: &mut Criterion) {
     group.finish();
 }
 
-/// Figure 11 parallel panel: 1 vs 2 vs 4 geographic partitions.
-fn bench_partitioned(c: &mut Criterion) {
-    let w = Workload::build(Scale::Small);
-    let me_stream = w.me_stream(TrackerParams::default());
-    let span_end = Timestamp::ZERO + w.span();
-    let spec = WindowSpec::new(Duration::hours(6), Duration::hours(1)).unwrap();
-    let queries = spec.query_times(Timestamp::ZERO, span_end);
-
-    let mut group = c.benchmark_group("fig11_partitioning");
-    group.sample_size(10);
-    for n in [1usize, 2, 4] {
-        let partitioner = if n == 2 {
-            partition::GeoPartitioner::east_west()
-        } else {
-            partition::GeoPartitioner::balanced(n, &me_stream)
-        };
-        group.bench_with_input(BenchmarkId::from_parameter(format!("{n}proc")), &n, |b, _| {
-            b.iter(|| {
-                let merged = partition::recognize_partitioned(
-                    &partitioner,
-                    &w.vessels,
-                    &w.areas,
-                    &me_stream,
-                    spec,
-                    &queries,
-                    SpatialMode::OnDemand,
-                );
-                merged
-                    .iter()
-                    .map(partition::MergedSummary::ce_count)
-                    .sum::<usize>()
-            });
-        });
-    }
-    group.finish();
-}
-
 /// Ablation: the CE recognizer fed the compressed ME stream versus an
 /// uncompressed-size stream (one synthetic ME per raw position) — the
 /// load reduction the trajectory detection component buys.
@@ -135,10 +98,5 @@ fn bench_compression_ablation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_recognition_modes,
-    bench_partitioned,
-    bench_compression_ablation
-);
+criterion_group!(benches, bench_recognition_modes, bench_compression_ablation);
 criterion_main!(benches);

@@ -1,9 +1,10 @@
 //! Fleet-scale partition coordination: vessel handoff between longitude
 //! bands, border-zone replication, and whole-fleet checkpoint/restore.
 //!
-//! [`crate::partition::PartitionedRecognizer`] routes each movement event
-//! to the band containing it and silently assumes vessels never cross a
-//! band boundary. The [`CoordinatedRecognizer`] drops that assumption:
+//! The paper's two-processor setup forwards each movement event "to the
+//! appropriate processor (according to vessel location)". Routing by
+//! position alone would lose CEs whenever a vessel crosses a band
+//! boundary; the [`CoordinatedRecognizer`] keeps the merge exact:
 //!
 //! * **Sticky homes + migration.** Every vessel is *homed* to one band
 //!   (the band of its first event) and its events always reach that
@@ -1033,7 +1034,7 @@ mod tests {
 
     fn serial() -> MaritimeRecognizer {
         MaritimeRecognizer::new(
-            Knowledge::new(vessels(10).into_iter(), areas(), 2_000.0, SpatialMode::OnDemand),
+            Knowledge::new(vessels(10), areas(), 2_000.0, SpatialMode::OnDemand),
             spec(),
         )
     }

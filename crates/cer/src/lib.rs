@@ -21,7 +21,8 @@
 //! [`SpatialMode::OnDemand`] computes `close/3` during recognition via the
 //! geographic grid index, while [`SpatialMode::Precomputed`] consumes
 //! spatial facts attached to the input events (see [`spatial`]).
-//! [`partition`] implements the geographic parallelisation of §5.2.
+//! [`partition`] and [`coordinator`] implement the geographic
+//! parallelisation of §5.2.
 
 #![warn(missing_docs)]
 
@@ -41,7 +42,7 @@ pub use extensions::{ExtendedRecognizer, ExtensionReport, Rendezvous};
 pub use fluents::{Alert, AlertKind, FluentKey};
 pub use input::{InputEvent, InputKind};
 pub use knowledge::{Knowledge, SpatialMode, VesselInfo};
-pub use partition::{GeoPartitioner, PartitionedRecognizer};
+pub use partition::GeoPartitioner;
 pub use provenance::{alert_id, build_chains, render_proof_tree, visit_input_leaves, CeChain, ChainNode};
 pub use maritime_rtec::{EvalStrategy, IncrementalStats};
 pub use recognizer::{MaritimeRecognizer, RecognitionSummary};

@@ -6,28 +6,17 @@
 //! for ... the east part. ... The input MEs are forwarded to the
 //! appropriate processor (according to vessel location)."
 //!
-//! The partitioner splits the monitored region into `n` longitude bands
-//! with (approximately) balanced event counts, builds one knowledge base
-//! and one recognizer per band, routes each ME to its band by coordinates,
-//! and runs the recognizers on OS threads.
-//!
-//! **Boundary effects.** Routing by event position means a vessel whose
-//! trace crosses a band boundary has its MEs split across recognizers —
-//! a durative fluent started on one side is then invisible to the other.
-//! For physically continuous traces this is benign: the start and end
-//! markers of a stop or slow-motion run are co-located, so marker pairs
-//! always land in the same band, and only CEs *straddling* a boundary can
-//! differ from single-recognizer output (the paper's setup shares this
-//! property — MEs are "forwarded to the appropriate processor (according
-//! to vessel location)"). Choose boundaries away from monitored areas to
-//! eliminate the residual effect.
+//! [`GeoPartitioner`] splits the monitored region into longitude bands
+//! and routes areas (by centroid) and events (by position) to them;
+//! `merge_band_summaries` folds one query's per-band summaries into a
+//! single one. [`crate::CoordinatedRecognizer`] runs one recognizer per
+//! band on top of both, and handles vessels that cross a band boundary.
 
 use maritime_geo::Area;
-use maritime_rtec::{EvalStrategy, Timestamp, WindowSpec};
+use maritime_rtec::Timestamp;
 
 use crate::input::InputEvent;
-use crate::knowledge::{Knowledge, SpatialMode, VesselInfo};
-use crate::recognizer::{MaritimeRecognizer, RecognitionSummary};
+use crate::recognizer::RecognitionSummary;
 
 /// Longitude-band partitioner.
 #[derive(Debug, Clone)]
@@ -137,258 +126,6 @@ impl GeoPartitioner {
     }
 }
 
-/// One query's merged result across partitions.
-#[derive(Debug, Clone)]
-pub struct MergedSummary {
-    /// Query time.
-    pub query_time: Timestamp,
-    /// Per-partition summaries, in band order (west to east).
-    pub per_partition: Vec<RecognitionSummary>,
-}
-
-impl MergedSummary {
-    /// Total CE count across partitions.
-    #[must_use]
-    pub fn ce_count(&self) -> usize {
-        self.per_partition.iter().map(|s| s.ce_count).sum()
-    }
-
-    /// Total working-memory size across partitions.
-    #[must_use]
-    pub fn working_memory(&self) -> usize {
-        self.per_partition.iter().map(|s| s.working_memory).sum()
-    }
-}
-
-/// Runs partitioned recognition: one recognizer per band on its own OS
-/// thread, each processing all query times over its routed events.
-/// Returns one [`MergedSummary`] per query time.
-#[must_use]
-pub fn recognize_partitioned(
-    partitioner: &GeoPartitioner,
-    vessels: &[VesselInfo],
-    areas: &[Area],
-    events: &[(Timestamp, InputEvent)],
-    spec: WindowSpec,
-    query_times: &[Timestamp],
-    mode: SpatialMode,
-) -> Vec<MergedSummary> {
-    let routed_events = partitioner.route_events(events);
-    let routed_areas = partitioner.route_areas(areas);
-
-    let mut per_partition_results: Vec<Vec<RecognitionSummary>> =
-        Vec::with_capacity(partitioner.partitions());
-
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = routed_events
-            .iter()
-            .zip(&routed_areas)
-            .map(|(band_events, band_areas)| {
-                let band_areas = band_areas.clone();
-                scope.spawn(move |_| {
-                    let kb = Knowledge::new(
-                        vessels.iter().copied(),
-                        band_areas,
-                        2_000.0,
-                        mode,
-                    );
-                    let mut recognizer = MaritimeRecognizer::new(kb, spec);
-                    recognizer.add_events(band_events.iter().cloned());
-                    query_times
-                        .iter()
-                        .map(|q| recognizer.recognize_and_summarize(*q))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            per_partition_results.push(h.join().expect("partition thread panicked"));
-        }
-    })
-    .expect("crossbeam scope");
-
-    query_times
-        .iter()
-        .enumerate()
-        .map(|(qi, q)| MergedSummary {
-            query_time: *q,
-            per_partition: per_partition_results
-                .iter()
-                .map(|r| r[qi].clone())
-                .collect(),
-        })
-        .collect()
-}
-
-/// An incremental, geo-partitioned recognizer for online pipelines.
-///
-/// [`recognize_partitioned`] is batch-oriented: it needs the whole event
-/// stream and every query time up front. A streaming pipeline instead
-/// interleaves `add_events` and queries, so this wrapper keeps one
-/// long-lived [`MaritimeRecognizer`] per longitude band, routes each
-/// incoming ME to its band by vessel location, and answers each query by
-/// running all bands on scoped threads and merging their summaries.
-///
-/// Spatial facts: in [`SpatialMode::Precomputed`], `close/3` facts are
-/// attached *after* routing, against the band-local area set — the same
-/// facts band-local recognition would derive on demand.
-pub struct PartitionedRecognizer {
-    partitioner: GeoPartitioner,
-    recognizers: Vec<MaritimeRecognizer>,
-}
-
-impl PartitionedRecognizer {
-    /// Builds one recognizer per band: all vessels are known everywhere
-    /// (static facts are cheap), areas are routed to their band by
-    /// centroid.
-    #[must_use]
-    pub fn new(
-        partitioner: GeoPartitioner,
-        vessels: &[VesselInfo],
-        areas: &[Area],
-        close_threshold_m: f64,
-        mode: SpatialMode,
-        spec: WindowSpec,
-    ) -> Self {
-        Self::with_strategy(
-            partitioner,
-            vessels,
-            areas,
-            close_threshold_m,
-            mode,
-            spec,
-            EvalStrategy::default(),
-        )
-    }
-
-    /// Like [`PartitionedRecognizer::new`], with an explicit per-band
-    /// engine evaluation strategy (checkpointed incremental vs.
-    /// from-scratch per query).
-    #[must_use]
-    pub fn with_strategy(
-        partitioner: GeoPartitioner,
-        vessels: &[VesselInfo],
-        areas: &[Area],
-        close_threshold_m: f64,
-        mode: SpatialMode,
-        spec: WindowSpec,
-        strategy: EvalStrategy,
-    ) -> Self {
-        let recognizers = partitioner
-            .route_areas(areas)
-            .into_iter()
-            .map(|band_areas| {
-                let kb = Knowledge::new(
-                    vessels.iter().copied(),
-                    band_areas,
-                    close_threshold_m,
-                    mode,
-                );
-                MaritimeRecognizer::with_strategy(kb, spec, strategy)
-            })
-            .collect();
-        Self {
-            partitioner,
-            recognizers,
-        }
-    }
-
-    /// Number of bands.
-    #[must_use]
-    pub fn partitions(&self) -> usize {
-        self.recognizers.len()
-    }
-
-    /// The band partitioner.
-    #[must_use]
-    pub fn partitioner(&self) -> &GeoPartitioner {
-        &self.partitioner
-    }
-
-    /// The knowledge base of one band.
-    #[must_use]
-    pub fn knowledge(&self, band: usize) -> &Knowledge {
-        self.recognizers[band].knowledge()
-    }
-
-    /// How queries have been evaluated so far, summed across bands (each
-    /// band engine answers every query, so `incremental + full` is
-    /// `queries × bands`); all zeros under the from-scratch strategy.
-    #[must_use]
-    pub fn incremental_stats(&self) -> maritime_rtec::IncrementalStats {
-        let mut sum = maritime_rtec::IncrementalStats::default();
-        for r in &self.recognizers {
-            let s = r.incremental_stats();
-            sum.incremental += s.incremental;
-            sum.full += s.full;
-            sum.triggers_evaluated += s.triggers_evaluated;
-            sum.triggers_reused += s.triggers_reused;
-        }
-        sum
-    }
-
-    /// Routes events to their bands. In precomputed mode each event gets
-    /// its `close/3` facts from its own band's area set.
-    pub fn add_events(&mut self, events: impl IntoIterator<Item = (Timestamp, InputEvent)>) {
-        let mut routed: Vec<Vec<(Timestamp, InputEvent)>> =
-            vec![Vec::new(); self.recognizers.len()];
-        for (t, e) in events {
-            routed[self.partitioner.index_of(e.position.lon)].push((t, e));
-        }
-        for (band, events) in routed.into_iter().enumerate() {
-            if events.is_empty() {
-                continue;
-            }
-            let recognizer = &mut self.recognizers[band];
-            let mut events = events;
-            if recognizer.knowledge().spatial_mode == SpatialMode::Precomputed {
-                crate::spatial::annotate_with_spatial_facts(&mut events, recognizer.knowledge());
-            }
-            recognizer.add_events(events);
-        }
-    }
-
-    /// Turns per-CE provenance capture on or off in every band. Bands
-    /// own disjoint areas and vessels-in-areas, so the union of per-band
-    /// chains is the partitioned run's full chain set.
-    pub fn set_provenance(&mut self, on: bool) {
-        for r in &mut self.recognizers {
-            r.set_provenance(on);
-        }
-    }
-
-    /// Takes the chains assembled by the most recent traced query,
-    /// merged across bands and sorted by id.
-    pub fn take_chains(&mut self) -> Vec<crate::provenance::CeChain> {
-        let mut chains: Vec<_> = self
-            .recognizers
-            .iter_mut()
-            .flat_map(MaritimeRecognizer::take_chains)
-            .collect();
-        chains.sort_by(|a, b| a.id.cmp(&b.id));
-        chains
-    }
-
-    /// Runs one query on every band concurrently and merges the results
-    /// into a single summary: per-area CE intervals concatenate (bands own
-    /// disjoint areas), alerts interleave into time order, and counts sum.
-    pub fn recognize_and_summarize(&mut self, q: Timestamp) -> RecognitionSummary {
-        let summaries: Vec<RecognitionSummary> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .recognizers
-                .iter_mut()
-                .map(|r| scope.spawn(move |_| r.recognize_and_summarize(q)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("band thread panicked"))
-                .collect()
-        })
-        .expect("crossbeam scope");
-        merge_band_summaries(q, summaries)
-    }
-}
-
 /// Merges per-band summaries of one query into a single summary. Bands
 /// own disjoint area sets, so the per-area interval lists never collide;
 /// they are concatenated and sorted by area for determinism.
@@ -422,8 +159,7 @@ mod tests {
     use super::*;
     use crate::input::InputKind;
     use maritime_ais::Mmsi;
-    use maritime_geo::{AreaId, AreaKind, GeoPoint, Polygon};
-    use maritime_rtec::Duration;
+    use maritime_geo::GeoPoint;
 
     fn t(v: i64) -> Timestamp {
         Timestamp(v)
@@ -438,24 +174,6 @@ mod tests {
                 position: GeoPoint::new(lon, lat),
                 close_areas: None,
             },
-        )
-    }
-
-    fn west_area() -> Area {
-        Area::new(
-            AreaId(0),
-            "west-park",
-            AreaKind::Protected,
-            Polygon::rectangle(GeoPoint::new(21.0, 37.0), GeoPoint::new(21.2, 37.2)),
-        )
-    }
-
-    fn east_area() -> Area {
-        Area::new(
-            AreaId(1),
-            "east-park",
-            AreaKind::Protected,
-            Polygon::rectangle(GeoPoint::new(26.0, 38.0), GeoPoint::new(26.2, 38.2)),
         )
     }
 
@@ -501,81 +219,5 @@ mod tests {
         assert_eq!(p.index_of(27.9), 3);
         // Left-closed bands: a boundary longitude belongs to the right band.
         assert_eq!(p.index_of(22.0), 1);
-    }
-
-    #[test]
-    fn incremental_partitioned_recognizer_matches_single() {
-        let spec = WindowSpec::new(Duration::hours(6), Duration::hours(1)).unwrap();
-        let vessels: Vec<VesselInfo> = (0..10)
-            .map(|i| VesselInfo { mmsi: Mmsi(i), draft_m: 5.0, is_fishing: false })
-            .collect();
-        let areas = vec![west_area(), east_area()];
-        let events = [
-            ev(1, InputKind::GapStart, 21.1, 37.1),
-            ev(2, InputKind::GapStart, 26.1, 38.1),
-        ];
-
-        let mut single = MaritimeRecognizer::new(
-            Knowledge::standard(vessels.iter().copied(), areas.clone()),
-            spec,
-        );
-        single.add_events(events.iter().cloned());
-        let s = single.recognize_and_summarize(t(3_600));
-
-        let mut partitioned = PartitionedRecognizer::new(
-            GeoPartitioner::east_west(),
-            &vessels,
-            &areas,
-            2_000.0,
-            SpatialMode::OnDemand,
-            spec,
-        );
-        assert_eq!(partitioned.partitions(), 2);
-        partitioned.add_events(events.iter().cloned());
-        let m = partitioned.recognize_and_summarize(t(3_600));
-        assert_eq!(m.ce_count, s.ce_count);
-        assert_eq!(m.working_memory, s.working_memory);
-        assert_eq!(m.alerts.len(), s.alerts.len());
-        assert_eq!(m.suspicious.len(), s.suspicious.len());
-    }
-
-    #[test]
-    fn partitioned_recognition_matches_single_recognizer() {
-        let spec = WindowSpec::new(Duration::hours(6), Duration::hours(1)).unwrap();
-        let vessels: Vec<VesselInfo> = (0..10)
-            .map(|i| VesselInfo { mmsi: Mmsi(i), draft_m: 5.0, is_fishing: false })
-            .collect();
-        let areas = vec![west_area(), east_area()];
-        // A gap near the west park and one near the east park.
-        let events = vec![
-            ev(1, InputKind::GapStart, 21.1, 37.1),
-            ev(2, InputKind::GapStart, 26.1, 38.1),
-        ];
-        let queries = vec![t(3_600)];
-
-        // Single recognizer.
-        let mut single = MaritimeRecognizer::new(
-            Knowledge::standard(vessels.iter().copied(), areas.clone()),
-            spec,
-        );
-        single.add_events(events.iter().cloned());
-        let s = single.recognize_and_summarize(t(3_600));
-
-        // Two-way partitioned.
-        let merged = recognize_partitioned(
-            &GeoPartitioner::east_west(),
-            &vessels,
-            &areas,
-            &events,
-            spec,
-            &queries,
-            SpatialMode::OnDemand,
-        );
-        assert_eq!(merged.len(), 1);
-        assert_eq!(merged[0].ce_count(), s.ce_count);
-        assert_eq!(merged[0].ce_count(), 2);
-        // Each partition saw exactly its own event.
-        assert_eq!(merged[0].per_partition[0].working_memory, 1);
-        assert_eq!(merged[0].per_partition[1].working_memory, 1);
     }
 }

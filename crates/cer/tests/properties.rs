@@ -2,8 +2,10 @@
 
 use maritime_ais::Mmsi;
 use maritime_cer::recognizer::summarize;
-use maritime_cer::{InputEvent, InputKind, Knowledge, MaritimeRecognizer, SpatialMode, VesselInfo};
-use maritime_cer::partition::{recognize_partitioned, GeoPartitioner};
+use maritime_cer::{
+    CoordinatedRecognizer, GeoPartitioner, InputEvent, InputKind, Knowledge, MaritimeRecognizer,
+    SpatialMode, VesselInfo,
+};
 use maritime_geo::{Area, AreaId, AreaKind, GeoPoint, Polygon};
 use maritime_rtec::{Duration, Timestamp, WindowSpec};
 use proptest::prelude::*;
@@ -47,8 +49,7 @@ fn spec() -> WindowSpec {
 
 /// Arbitrary *physically coherent* ME streams: each vessel operates at a
 /// fixed hotspot (vessels do not teleport mid-run, so the paired
-/// start/end markers of durative MEs stay co-located — the property the
-/// geographic partitioner relies on; see `partition.rs` docs).
+/// start/end markers of durative MEs stay co-located).
 fn arb_events() -> impl Strategy<Value = Vec<(Timestamp, InputEvent)>> {
     let kind = prop_oneof![
         Just(InputKind::StopStart),
@@ -169,17 +170,17 @@ proptest! {
     #[test]
     fn partitioned_matches_single(events in arb_events()) {
         let single = run(&events, SpatialMode::OnDemand);
-        let queries = vec![Timestamp(30_000)];
-        let merged = recognize_partitioned(
-            &GeoPartitioner::east_west(),
+        let mut two = CoordinatedRecognizer::new(
+            GeoPartitioner::east_west(),
             &vessels(),
             &areas(),
-            &events,
-            spec(),
-            &queries,
+            2_000.0,
             SpatialMode::OnDemand,
+            spec(),
         );
-        prop_assert_eq!(merged[0].ce_count(), single.0);
+        two.add_events(events);
+        let s = two.recognize_and_summarize(Timestamp(30_000));
+        prop_assert_eq!((s.ce_count, s.suspicious.len(), s.alerts.len()), single);
     }
 
     #[test]

@@ -46,9 +46,9 @@ pub enum TraceMode {
 /// `1` everywhere (the default) reproduces the serial pipeline exactly.
 /// Tracking shards partition the fleet by MMSI hash — equivalent to serial
 /// output up to the interleaving of independent vessels — while
-/// recognition bands partition the monitored region by longitude, which
-/// is exact only for CEs that do not straddle a band boundary (see
-/// `maritime_cer::partition`).
+/// recognition bands partition the monitored region by longitude through
+/// `maritime_cer::CoordinatedRecognizer`, whose merge is exact: vessels
+/// crossing a band boundary migrate between bands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Parallelism {
     /// Worker shards for the mobility tracker (1 = in-thread serial).

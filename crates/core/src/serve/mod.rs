@@ -313,14 +313,17 @@ pub fn start(opts: ServeOptions) -> Result<ServerHandle, ServeError> {
         http.as_ref().and_then(|l| l.local_addr().ok()),
     );
 
-    // Driver: the single owner of the recognition path.
+    // Driver: the single owner of the recognition path. The ring is
+    // seeded before the driver spawns, so /metrics/history and the
+    // dashboard are never empty, even on a freshly started server.
     {
+        let mut sampler = Sampler::new(opts.slo);
+        sampler.tick(&live, &telemetry, &hub);
         let live = Arc::clone(&live);
         let hub = Arc::clone(&hub);
         let shutdown = Arc::clone(&shutdown);
         let telemetry = Arc::clone(&telemetry);
         let sample_interval = opts.sample_interval;
-        let slo = opts.slo;
         let ckpt = opts
             .checkpoint_dir
             .clone()
@@ -336,7 +339,7 @@ pub fn start(opts: ServeOptions) -> Result<ServerHandle, ServeError> {
                         &shutdown,
                         &telemetry,
                         sample_interval,
-                        slo,
+                        sampler,
                         ckpt.as_ref(),
                     );
                 })
@@ -444,13 +447,9 @@ fn driver_loop(
     shutdown: &AtomicBool,
     telemetry: &ServeTelemetry,
     sample_interval: std::time::Duration,
-    slo: SloThresholds,
+    mut sampler: Sampler,
     ckpt: Option<&(std::path::PathBuf, u64)>,
 ) {
-    let mut sampler = Sampler::new(slo);
-    // Seed the ring immediately so /metrics/history and the dashboard are
-    // never empty, even on a freshly started server.
-    sampler.tick(live, telemetry, hub);
     let mut last_sample = Instant::now();
     let mut last_saved_queries = live.lock().stats().queries;
     loop {
@@ -533,8 +532,8 @@ struct MirroredSource {
 /// The driver's telemetry tick: mirror per-source mux counters into the
 /// `serve_source_*` labeled families, record one full-registry sample
 /// into the ring, and run the health engine over the newest interval.
-/// Runs on the driver thread between ingest batches — never on the
-/// per-sentence hot path.
+/// Ticks once in `start` before the driver spawns, then on the driver
+/// thread between ingest batches — never on the per-sentence hot path.
 struct Sampler {
     engine: HealthEngine,
     prev: Option<Arc<maritime_obs::Sample>>,

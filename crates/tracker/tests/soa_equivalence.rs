@@ -6,7 +6,7 @@
 //! proptest already pins the mean-speed value bit for bit. This suite
 //! closes the loop at the *output* level: across random multi-vessel
 //! voyages, the serial windowed tracker and the [`ShardedTracker`] at
-//! 1, 2, and 4 shards must produce byte-identical critical-point streams
+//! 1, 2, 4, and 8 shards must produce byte-identical critical-point streams
 //! under JSON serialization — the same oracle as the fixed-fleet
 //! `tests/sharded_equivalence.rs`, here over arbitrary trajectories.
 //!
@@ -99,7 +99,7 @@ proptest! {
     ) {
         let stream = fleet_stream(voyages);
         let serial = serial_trace(&stream);
-        for shards in [1usize, 2, 4] {
+        for shards in [1usize, 2, 4, 8] {
             let sharded = sharded_trace(&stream, shards);
             prop_assert_eq!(
                 &serial, &sharded,

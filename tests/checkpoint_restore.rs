@@ -156,7 +156,6 @@ fn small_baseline(incremental: bool) -> &'static Vec<String> {
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 10,
-        ..ProptestConfig::default()
     })]
 
     /// Crash-at-arbitrary-slide: a kill at ANY point of a 2-band run,
