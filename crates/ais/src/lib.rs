@@ -26,6 +26,10 @@ pub mod trace;
 pub mod types;
 pub mod voyage;
 
+#[cfg(test)]
+#[path = "../tests/support/bit_reader.rs"]
+mod bit_reader;
+
 pub use mmsi::Mmsi;
 pub use scanner::{DataScanner, ScanStats};
 pub use synthetic::{FleetConfig, FleetSimulator, VesselClass, VesselProfile};

@@ -316,7 +316,7 @@ pub fn encode_report(report: &PositionReport) -> String {
 /// carries only a UTC-second hint. Decoding reads bit fields directly off
 /// the payload bytes via [`BitCursor`] — no heap allocation; the
 /// `#[cfg(test)]` twin `decode_payload_reference` runs the same layout
-/// through the reference [`crate::sixbit::BitReader`] as the differential
+/// through the reference `BitReader` (test support) as the differential
 /// oracle.
 pub fn decode_payload(
     payload: &str,
@@ -371,7 +371,7 @@ pub fn decode_payload(
 }
 
 /// Reference decode: identical layout walk through the reference
-/// [`BitReader`](crate::sixbit::BitReader). Compiled only for tests, where
+/// `BitReader` (`tests/support/bit_reader.rs`). Compiled only for tests, where
 /// it serves as the oracle of the decoder differential suite.
 #[cfg(test)]
 pub fn decode_payload_reference(
@@ -379,7 +379,7 @@ pub fn decode_payload_reference(
     fill_bits: u8,
     received_at: Timestamp,
 ) -> Result<PositionReport, NmeaError> {
-    let mut r = crate::sixbit::BitReader::from_payload(payload, fill_bits)
+    let mut r = crate::bit_reader::BitReader::from_payload(payload, fill_bits)
         .ok_or(NmeaError::BadPayload)?;
     let type_raw = r.get_u32(6).ok_or(NmeaError::BadPayload)? as u8;
     let msg_type =

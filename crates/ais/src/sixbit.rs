@@ -4,8 +4,6 @@
 //! printable subset of ASCII (ITU-R M.1371 / IEC 61162-1). The armouring
 //! maps values 0–39 to `'0'..='W'` and 40–63 to `'`'..='w'`.
 
-use bytes::{BufMut, BytesMut};
-
 /// Encodes a six-bit value (0–63) into its ASCII armour character.
 #[must_use]
 pub fn armor(value: u8) -> u8 {
@@ -96,18 +94,15 @@ impl BitWriter {
         for _ in 0..fill {
             self.bits.push(false);
         }
-        let mut out = BytesMut::with_capacity(self.bits.len() / 6);
+        let mut out = Vec::with_capacity(self.bits.len() / 6);
         for chunk in self.bits.chunks(6) {
             let mut v = 0u8;
             for &b in chunk {
                 v = (v << 1) | u8::from(b);
             }
-            out.put_u8(armor(v));
+            out.push(armor(v));
         }
-        (
-            String::from_utf8(out.to_vec()).expect("armoured chars are ASCII"),
-            fill as u8,
-        )
+        (String::from_utf8(out).expect("armoured chars are ASCII"), fill as u8)
     }
 }
 
@@ -121,14 +116,13 @@ fn mask(width: usize) -> u32 {
 
 /// Zero-copy bit-field reader over an armoured payload.
 ///
-/// The production decoder of the hot path: where [`BitReader`] unpacks the
-/// payload into a `Vec<bool>` (one heap allocation plus a byte per bit),
-/// the cursor validates the armour alphabet in one pass over [`UNARMOR`]
-/// and then reads MSB-first bit fields straight off the borrowed payload
-/// bytes. [`BitReader`] is retained as the reference decoder; the unit and
-/// integration differential suites (`tests/decoder_differential.rs`) hold
-/// the two byte-identical over arbitrary payloads, fill counts, and read
-/// scripts.
+/// The production decoder of the hot path: the cursor validates the
+/// armour alphabet in one pass over [`UNARMOR`] and then reads MSB-first
+/// bit fields straight off the borrowed payload bytes, with no
+/// allocation. The reference `BitReader` (test support, one `bool` per
+/// bit) is its oracle: the unit and integration differential suites
+/// (`tests/decoder_differential.rs`) hold the two byte-identical over
+/// arbitrary payloads, fill counts, and read scripts.
 #[derive(Debug)]
 pub struct BitCursor<'a> {
     payload: &'a [u8],
@@ -209,80 +203,10 @@ impl<'a> BitCursor<'a> {
     }
 }
 
-/// Reads bit fields from an armoured payload.
-///
-/// This is the *reference* decoder: simple enough to audit against ITU-R
-/// M.1371 by eye, and kept as the differential oracle for [`BitCursor`].
-/// Production paths use the cursor; tests compare the two.
-#[derive(Debug)]
-pub struct BitReader {
-    bits: Vec<bool>,
-    pos: usize,
-}
-
-impl BitReader {
-    /// Unarmours `payload`, discarding `fill_bits` trailing pad bits.
-    /// Fails on characters outside the armour alphabet.
-    pub fn from_payload(payload: &str, fill_bits: u8) -> Option<Self> {
-        let mut bits = Vec::with_capacity(payload.len() * 6);
-        for ch in payload.bytes() {
-            let v = unarmor(ch)?;
-            for i in (0..6).rev() {
-                bits.push((v >> i) & 1 == 1);
-            }
-        }
-        let fill = usize::from(fill_bits.min(5));
-        if fill > bits.len() {
-            return None;
-        }
-        bits.truncate(bits.len() - fill);
-        Some(Self { bits, pos: 0 })
-    }
-
-    /// Remaining unread bits.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.bits.len() - self.pos
-    }
-
-    /// Reads `width` bits as an unsigned value, MSB first.
-    pub fn get_u32(&mut self, width: usize) -> Option<u32> {
-        assert!(width <= 32);
-        if self.remaining() < width {
-            return None;
-        }
-        let mut v = 0u32;
-        for _ in 0..width {
-            v = (v << 1) | u32::from(self.bits[self.pos]);
-            self.pos += 1;
-        }
-        Some(v)
-    }
-
-    /// Reads `width` bits as a two's-complement signed value.
-    pub fn get_i32(&mut self, width: usize) -> Option<i32> {
-        let raw = self.get_u32(width)?;
-        let sign_bit = 1u32 << (width - 1);
-        Some(if raw & sign_bit != 0 {
-            (raw | !mask(width)) as i32
-        } else {
-            raw as i32
-        })
-    }
-
-    /// Skips `width` bits.
-    pub fn skip(&mut self, width: usize) -> Option<()> {
-        if self.remaining() < width {
-            return None;
-        }
-        self.pos += width;
-        Some(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bit_reader::BitReader;
 
     #[test]
     fn armor_alphabet_roundtrips() {

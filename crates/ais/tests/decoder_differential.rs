@@ -2,18 +2,22 @@
 //!
 //! The hot path reads bit fields straight off the armored payload bytes
 //! through [`BitCursor`] and the precomputed `UNARMOR` table; the original
-//! per-character [`BitReader`] stays in the crate as the reference oracle.
+//! per-character [`BitReader`] (test support) is the reference oracle.
 //! Every test here runs both over the same input and demands *identical*
 //! results — construction success, remaining bit counts, every read, and
 //! full decoded reports bit for bit — across golden fixtures and arbitrary
 //! armored payloads including the fill-bit padding edge cases.
 
 use maritime_ais::nmea::{self, decode_payload, encode_report, NmeaError};
-use maritime_ais::sixbit::{BitCursor, BitReader};
+use maritime_ais::sixbit::BitCursor;
 use maritime_ais::{AisMessageType, Mmsi, PositionReport};
 use maritime_geo::GeoPoint;
 use maritime_stream::Timestamp;
 use proptest::prelude::*;
+
+#[path = "support/bit_reader.rs"]
+mod bit_reader;
+use bit_reader::BitReader;
 
 /// Reference decode: the same ITU-R M.1371 layout walk as
 /// `nmea::decode_payload`, but through the per-character [`BitReader`].

@@ -1,7 +1,7 @@
 //! Property-based tests for the AIS codec and scanner.
 
 use maritime_ais::nmea::{decode_payload, encode_report, parse_sentence};
-use maritime_ais::sixbit::{BitReader, BitWriter};
+use maritime_ais::sixbit::{BitCursor, BitWriter};
 use maritime_ais::{AisMessageType, DataScanner, Mmsi, PositionReport};
 use maritime_geo::GeoPoint;
 use maritime_stream::Timestamp;
@@ -94,7 +94,7 @@ proptest! {
             w.put_u32(masked, *width);
         }
         let (payload, fill) = w.finish();
-        let mut r = BitReader::from_payload(&payload, fill).unwrap();
+        let mut r = BitCursor::new(payload.as_bytes(), fill).unwrap();
         for (value, width) in &fields {
             let masked = if *width == 32 { *value } else { value & ((1 << width) - 1) };
             prop_assert_eq!(r.get_u32(*width), Some(masked));
@@ -118,7 +118,7 @@ proptest! {
             w.put_i32(*v, *width);
         }
         let (payload, fill) = w.finish();
-        let mut r = BitReader::from_payload(&payload, fill).unwrap();
+        let mut r = BitCursor::new(payload.as_bytes(), fill).unwrap();
         for (v, width) in &clamped {
             prop_assert_eq!(r.get_i32(*width), Some(*v));
         }

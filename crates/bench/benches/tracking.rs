@@ -84,44 +84,10 @@ fn bench_arrival_rates(c: &mut Criterion) {
     group.finish();
 }
 
-/// Sharded-tracker scaling: the same windowed workload fanned out over
-/// 1, 2, 4, and 8 MMSI-hash shards. One shard measures the channel and
-/// merge overhead against the serial `WindowedTracker` baseline above;
-/// the higher counts measure parallel speed-up.
-fn bench_sharded_tracking(c: &mut Criterion) {
-    let w = Workload::build(Scale::Small);
-    let spec = WindowSpec::new(Duration::hours(1), Duration::minutes(30)).unwrap();
-    let mut group = c.benchmark_group("sharded_tracking");
-    group.throughput(Throughput::Elements(w.stream.len() as u64));
-    group.sample_size(10);
-    for shards in [1usize, 2, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{shards}shards")),
-            &shards,
-            |b, &shards| {
-                b.iter(|| {
-                    let mut st = ShardedTracker::new(TrackerParams::default(), spec, shards);
-                    let mut total = 0usize;
-                    for batch in
-                        SlideBatches::new(w.stream.iter().cloned(), spec, Timestamp::ZERO)
-                    {
-                        let tuples: Vec<PositionTuple> =
-                            batch.items.into_iter().map(|(_, t)| t).collect();
-                        total += st.slide(batch.query_time, &tuples).merged.fresh_critical.len();
-                    }
-                    total + st.finish().0.len()
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_tracker_throughput,
     bench_windowed_slides,
-    bench_arrival_rates,
-    bench_sharded_tracking
+    bench_arrival_rates
 );
 criterion_main!(benches);

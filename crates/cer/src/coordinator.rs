@@ -501,18 +501,17 @@ impl CoordinatedRecognizer {
     pub fn recognize_and_summarize(&mut self, q: Timestamp) -> RecognitionSummary {
         self.migrate_due(q);
         self.admitted.slide_to_discarding(q);
-        let summaries: Vec<RecognitionSummary> = crossbeam::thread::scope(|scope| {
+        let summaries: Vec<RecognitionSummary> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .bands
                 .iter_mut()
-                .map(|r| scope.spawn(move |_| r.recognize_and_summarize(q)))
+                .map(|r| scope.spawn(move || r.recognize_and_summarize(q)))
                 .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("band thread panicked"))
                 .collect()
-        })
-        .expect("crossbeam scope");
+        });
         let mut merged = merge_band_summaries(q, summaries);
         // Replication feeds one event to several bands; the distinct
         // working memory is the coordinator's own admission window.

@@ -19,7 +19,7 @@
 //!   CE evidence — surviving vessels' alerts are preserved exactly and
 //!   every durative CE interval stays inside a baseline interval
 //!   ([`maritime_rtec::IntervalList::covers`]);
-//! * **cross-engine agreement**: serial, sharded, incremental, and traced
+//! * **cross-engine agreement**: serial, banded, incremental, and traced
 //!   engines must agree on perturbed streams, not just clean ones.
 //!
 //! When an oracle fails, [`shrink`] bisects the op list (delta debugging)

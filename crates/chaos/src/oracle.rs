@@ -338,9 +338,9 @@ mod tests {
         let b = a.clone();
         let mut c = a.clone();
         c.ce_total = 9;
-        assert!(check_agreement(&[("serial", &a), ("sharded", &b)]).is_ok());
+        assert!(check_agreement(&[("serial", &a), ("banded", &b)]).is_ok());
         let err =
-            check_agreement(&[("serial", &a), ("sharded", &b), ("traced", &c)]).unwrap_err();
+            check_agreement(&[("serial", &a), ("banded", &b), ("traced", &c)]).unwrap_err();
         assert!(err.detail.contains("traced"), "{}", err.detail);
     }
 

@@ -3,7 +3,6 @@
 //! ```text
 //! surveil --demo 60 24                 # simulate 60 vessels for 24 h
 //! surveil --input ais.log              # replay a timestamped NMEA log
-//! surveil --demo 60 24 --shards 4      # shard the tracker over 4 workers
 //! surveil --demo 60 24 --kml out.kml --archive trips.json --audit
 //! surveil --demo 60 24 --metrics-json m.json --metrics-every 12
 //! surveil --demo 60 24 --trace         # provenance chains -> ce-chains.json
@@ -45,7 +44,6 @@ struct Options {
     archive: Option<String>,
     dump_log: Option<String>,
     audit: bool,
-    shards: usize,
     bands: usize,
     incremental: bool,
     metrics_json: Option<String>,
@@ -66,7 +64,6 @@ fn parse_args() -> Options {
         archive: None,
         dump_log: None,
         audit: false,
-        shards: 1,
         bands: 1,
         incremental: false,
         metrics_json: None,
@@ -131,12 +128,6 @@ fn parse_args() -> Options {
                         std::process::exit(2);
                     }));
             }
-            "--shards" => {
-                opts.shards = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--shards needs a positive integer");
-                    std::process::exit(2);
-                });
-            }
             "--bands" => {
                 opts.bands = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
                     eprintln!("--bands needs a positive integer");
@@ -146,7 +137,7 @@ fn parse_args() -> Options {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: surveil (--demo [vessels] [hours] | --input FILE) \
-                     [--shards N] [--bands N] [--incremental] [--kml FILE] \
+                     [--bands N] [--incremental] [--kml FILE] \
                      [--archive FILE] [--dump-log FILE] [--audit] \
                      [--metrics-json FILE] [--metrics-prom FILE] \
                      [--metrics-every N-SLIDES] [--no-metrics] \
@@ -799,10 +790,7 @@ fn main() {
 
     // The pipeline.
     let config = SurveillanceConfig {
-        parallelism: Parallelism {
-            tracker_shards: opts.shards,
-            recognition_bands: opts.bands,
-        },
+        parallelism: Parallelism { recognition_bands: opts.bands },
         incremental_recognition: opts.incremental,
         metrics: if opts.no_metrics {
             MetricsMode::Off
@@ -821,11 +809,8 @@ fn main() {
         eprintln!("invalid configuration: {e}");
         std::process::exit(2);
     }
-    if opts.shards > 1 || opts.bands > 1 {
-        eprintln!(
-            "parallelism: {} tracker shard(s), {} recognition band(s)",
-            opts.shards, opts.bands
-        );
+    if opts.bands > 1 {
+        eprintln!("parallelism: {} recognition band(s)", opts.bands);
     }
     if opts.incremental {
         eprintln!("recognition: checkpointed incremental evaluation");

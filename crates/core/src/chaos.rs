@@ -42,10 +42,10 @@ use crate::pipeline::SurveillancePipeline;
 /// stream, perturbed or not.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaosEngine {
-    /// Single-threaded tracker, from-scratch recognition.
+    /// From-scratch recognition.
     Serial,
-    /// Sharded parallel tracker (4 shards).
-    Sharded,
+    /// Two longitude bands under the exact `CoordinatedRecognizer`.
+    Banded,
     /// Checkpointed incremental recognition.
     Incremental,
     /// Full provenance capture ([`TraceMode::Full`]).
@@ -56,7 +56,7 @@ impl ChaosEngine {
     /// Every engine configuration, in comparison order.
     pub const ALL: [ChaosEngine; 4] = [
         ChaosEngine::Serial,
-        ChaosEngine::Sharded,
+        ChaosEngine::Banded,
         ChaosEngine::Incremental,
         ChaosEngine::Traced,
     ];
@@ -66,7 +66,7 @@ impl ChaosEngine {
     pub fn label(self) -> &'static str {
         match self {
             ChaosEngine::Serial => "serial",
-            ChaosEngine::Sharded => "sharded",
+            ChaosEngine::Banded => "banded",
             ChaosEngine::Incremental => "incremental",
             ChaosEngine::Traced => "traced",
         }
@@ -75,7 +75,7 @@ impl ChaosEngine {
     fn configure(self, config: &mut SurveillanceConfig) {
         match self {
             ChaosEngine::Serial => {}
-            ChaosEngine::Sharded => config.parallelism.tracker_shards = 4,
+            ChaosEngine::Banded => config.parallelism.recognition_bands = 2,
             ChaosEngine::Incremental => config.incremental_recognition = true,
             ChaosEngine::Traced => config.trace = TraceMode::Full,
         }

@@ -40,19 +40,16 @@ pub enum TraceMode {
     Full,
 }
 
-/// Degree of parallelism for each pipeline stage (§5.2 ran recognition on
-/// two processors; tracking shards the same way by vessel).
+/// Degree of parallelism of CE recognition (§5.2 ran it on two
+/// processors, split by vessel location).
 ///
-/// `1` everywhere (the default) reproduces the serial pipeline exactly.
-/// Tracking shards partition the fleet by MMSI hash — equivalent to serial
-/// output up to the interleaving of independent vessels — while
-/// recognition bands partition the monitored region by longitude through
+/// `1` (the default) runs a single recognizer. More bands partition the
+/// monitored region by longitude through
 /// `maritime_cer::CoordinatedRecognizer`, whose merge is exact: vessels
-/// crossing a band boundary migrate between bands.
+/// crossing a band boundary migrate between bands. Tracking always runs
+/// on the pipeline's own thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Parallelism {
-    /// Worker shards for the mobility tracker (1 = in-thread serial).
-    pub tracker_shards: usize,
     /// Longitude bands for CE recognition (1 = single recognizer).
     pub recognition_bands: usize,
 }
@@ -60,29 +57,21 @@ pub struct Parallelism {
 impl Default for Parallelism {
     fn default() -> Self {
         Self {
-            tracker_shards: 1,
             recognition_bands: 1,
         }
     }
 }
 
 impl Parallelism {
-    /// Largest accepted degree for either stage; beyond this, per-worker
-    /// batches are too small for the fan-out cost to ever amortize.
+    /// Largest accepted band count; beyond this, per-band batches are
+    /// too small for the fan-out cost to ever amortize.
     pub const MAX_DEGREE: usize = 256;
 
-    /// Validates both degrees.
+    /// Validates the band count.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        for (stage, degree) in [
-            ("tracker_shards", self.tracker_shards),
-            ("recognition_bands", self.recognition_bands),
-        ] {
-            if degree == 0 || degree > Self::MAX_DEGREE {
-                return Err(ConfigError::Parallelism {
-                    stage,
-                    degree,
-                });
-            }
+        let degree = self.recognition_bands;
+        if degree == 0 || degree > Self::MAX_DEGREE {
+            return Err(ConfigError::Parallelism { degree });
         }
         Ok(())
     }
@@ -188,8 +177,6 @@ pub enum ConfigError {
     CloseThreshold(f64),
     /// A parallelism degree outside `1..=Parallelism::MAX_DEGREE`.
     Parallelism {
-        /// Which stage was misconfigured.
-        stage: &'static str,
         /// The rejected degree.
         degree: usize,
     },
@@ -211,9 +198,9 @@ impl std::fmt::Display for ConfigError {
             Self::Tracker(msg) => write!(f, "tracker parameters: {msg}"),
             Self::Window(e) => write!(f, "window spec: {e}"),
             Self::CloseThreshold(v) => write!(f, "close threshold must be positive, got {v}"),
-            Self::Parallelism { stage, degree } => write!(
+            Self::Parallelism { degree } => write!(
                 f,
-                "{stage} must be in 1..={}, got {degree}",
+                "recognition_bands must be in 1..={}, got {degree}",
                 Parallelism::MAX_DEGREE
             ),
             Self::ZeroDeadline => write!(
@@ -287,10 +274,7 @@ mod tests {
     #[test]
     fn config_serializes_roundtrip() {
         let cfg = SurveillanceConfig {
-            parallelism: Parallelism {
-                tracker_shards: 4,
-                recognition_bands: 2,
-            },
+            parallelism: Parallelism { recognition_bands: 2 },
             incremental_recognition: true,
             metrics: MetricsMode::Off,
             trace: TraceMode::Full,
@@ -319,15 +303,14 @@ mod tests {
     #[test]
     fn zero_or_excessive_parallelism_rejected() {
         for parallelism in [
-            Parallelism { tracker_shards: 0, recognition_bands: 1 },
-            Parallelism { tracker_shards: 1, recognition_bands: 0 },
-            Parallelism { tracker_shards: Parallelism::MAX_DEGREE + 1, recognition_bands: 1 },
+            Parallelism { recognition_bands: 0 },
+            Parallelism { recognition_bands: Parallelism::MAX_DEGREE + 1 },
         ] {
             let cfg = SurveillanceConfig { parallelism, ..Default::default() };
             assert!(matches!(cfg.validate(), Err(ConfigError::Parallelism { .. })));
         }
         let ok = SurveillanceConfig {
-            parallelism: Parallelism { tracker_shards: 8, recognition_bands: 2 },
+            parallelism: Parallelism { recognition_bands: 2 },
             ..Default::default()
         };
         ok.validate().unwrap();

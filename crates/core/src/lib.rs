@@ -84,9 +84,9 @@ pub mod prelude {
     pub use maritime_geo::{Area, AreaId, AreaKind, BoundingBox, GeoPoint, Polygon};
     pub use maritime_modstore::{ArchiveStats, StagingArea, TrajectoryStore, Trip, TripReconstructor};
     pub use maritime_rtec::{Interval, IntervalList};
-    pub use maritime_stream::{Duration, ShardRouter, SlideBatches, Timestamp, WindowSpec};
+    pub use maritime_stream::{Duration, SlideBatches, Timestamp, WindowSpec};
     pub use maritime_tracker::{
-        canonical_order, Annotation, CriticalPoint, MobilityTracker, ShardedTracker,
-        TrackerParams, WindowedTracker,
+        canonical_order, Annotation, CriticalPoint, MobilityTracker, TrackerParams,
+        WindowedTracker,
     };
 }

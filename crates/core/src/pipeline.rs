@@ -18,8 +18,7 @@ use maritime_modstore::{ArchiveStats, StagingArea, TrajectoryStore, TripReconstr
 use maritime_obs::flight::{self, FlightKind};
 use maritime_obs::{names, LazyCounter, LazyHistogram, SpanTimer};
 use maritime_stream::{SlideBatches, Timestamp};
-use maritime_tracker::tracker::FleetStats;
-use maritime_tracker::{CriticalPoint, ShardedTracker, SlideReport, WindowedTracker};
+use maritime_tracker::{CriticalPoint, WindowedTracker};
 
 use crate::alerts::{AlertLog, AlertRecord};
 use crate::config::{ConfigError, MetricsMode, SurveillanceConfig, TraceMode};
@@ -98,9 +97,6 @@ pub struct SlideOutcome {
     pub chains: Vec<CeChain>,
     /// Phase timings.
     pub timings: PhaseTimings,
-    /// Per-shard tracking cost when the sharded backend ran this slide
-    /// (one entry per shard, `tracking` field only); empty when serial.
-    pub shard_timings: Vec<PhaseTimings>,
 }
 
 /// Aggregate report of a complete run.
@@ -122,52 +118,6 @@ pub struct RunReport {
     pub archive: ArchiveStats,
     /// Summed phase timings across the run.
     pub timings: PhaseTimings,
-}
-
-/// The mobility-tracking backend: in-thread serial, or MMSI-sharded
-/// across worker threads (equivalent output up to the interleaving of
-/// independent vessels — see `maritime_tracker::sharded`).
-enum TrackerBackend {
-    Serial(WindowedTracker),
-    Sharded(ShardedTracker),
-}
-
-impl TrackerBackend {
-    fn slide(
-        &mut self,
-        query_time: Timestamp,
-        batch: &[PositionTuple],
-    ) -> (SlideReport, Vec<PhaseTimings>) {
-        match self {
-            Self::Serial(wt) => (wt.slide(query_time, batch), Vec::new()),
-            Self::Sharded(st) => {
-                let report = st.slide(query_time, batch);
-                let shard_timings = report
-                    .shard_elapsed
-                    .iter()
-                    .map(|elapsed| PhaseTimings {
-                        tracking: *elapsed,
-                        ..PhaseTimings::default()
-                    })
-                    .collect();
-                (report.merged, shard_timings)
-            }
-        }
-    }
-
-    fn finish(&mut self) -> (Vec<CriticalPoint>, Vec<CriticalPoint>) {
-        match self {
-            Self::Serial(wt) => wt.finish(),
-            Self::Sharded(st) => st.finish(),
-        }
-    }
-
-    fn fleet_stats(&self) -> FleetStats {
-        match self {
-            Self::Serial(wt) => wt.tracker().stats(),
-            Self::Sharded(st) => st.stats(),
-        }
-    }
 }
 
 /// The recognition backend: a single recognizer, or one per longitude
@@ -248,7 +198,7 @@ fn band_extent(areas: &[Area]) -> (f64, f64) {
 /// The assembled surveillance system.
 pub struct SurveillancePipeline {
     config: SurveillanceConfig,
-    tracker: TrackerBackend,
+    tracker: WindowedTracker,
     recognizer: RecognizerBackend,
     staging: StagingArea,
     reconstructor: TripReconstructor,
@@ -277,15 +227,7 @@ impl SurveillancePipeline {
         // Global switch: every counter/gauge/histogram/span in the
         // workspace becomes a no-op under `MetricsMode::Off`.
         maritime_obs::set_enabled(config.metrics == MetricsMode::On);
-        let tracker = if config.parallelism.tracker_shards > 1 {
-            TrackerBackend::Sharded(ShardedTracker::new(
-                config.tracker,
-                config.tracking_window,
-                config.parallelism.tracker_shards,
-            ))
-        } else {
-            TrackerBackend::Serial(WindowedTracker::new(config.tracker, config.tracking_window))
-        };
+        let tracker = WindowedTracker::new(config.tracker, config.tracking_window);
         let strategy = if config.incremental_recognition {
             EvalStrategy::Incremental
         } else {
@@ -493,11 +435,9 @@ impl SurveillancePipeline {
             index.index_batch(batch);
         }
 
-        // Phase 1: online tracking (fanned out per shard when sharded;
-        // `tracking` then measures the fan-out/merge wall time and
-        // `shard_timings` the per-worker cost).
+        // Phase 1: online tracking.
         let span = SpanTimer::stage("track", OBS_TRACKING_NS.get_ref());
-        let (report, shard_timings) = self.tracker.slide(query_time, batch);
+        let report = self.tracker.slide(query_time, batch);
         timings.tracking = span.stop();
 
         // Feed fresh critical points to the recognizer (with spatial facts
@@ -552,7 +492,6 @@ impl SurveillancePipeline {
             recognition,
             chains,
             timings,
-            shard_timings,
         }
     }
 
@@ -633,7 +572,7 @@ impl SurveillancePipeline {
         ce_total += final_outcome.recognition.as_ref().map_or(0, |s| s.ce_count);
         timings = timings.combined(final_outcome.timings);
 
-        let stats = self.tracker.fleet_stats();
+        let stats = self.tracker.tracker().stats();
         RunReport {
             slides,
             raw_positions: stats.raw,
@@ -683,7 +622,6 @@ impl SurveillancePipeline {
             recognition: Some(summary),
             chains,
             timings,
-            shard_timings: Vec::new(),
         }
     }
 
@@ -783,68 +721,6 @@ mod tests {
             "24h of 20 vessels should complete port-to-port trips: {:?}",
             report.archive
         );
-    }
-
-    #[test]
-    fn sharded_backend_matches_serial_run_report() {
-        let sim = FleetSimulator::new(FleetConfig::tiny(9));
-        let areas = generate_areas(&AreaGenConfig::default());
-        let vessels: Vec<VesselInfo> = sim.profiles().iter().map(VesselInfo::from).collect();
-        let run = |shards: usize| {
-            let config = SurveillanceConfig {
-                parallelism: crate::config::Parallelism {
-                    tracker_shards: shards,
-                    recognition_bands: 1,
-                },
-                ..SurveillanceConfig::default()
-            };
-            let mut pipeline =
-                SurveillancePipeline::new(&config, vessels.clone(), areas.clone()).unwrap();
-            let report = pipeline.run(sim.generate().into_iter().map(PositionTuple::from));
-            let alerts: Vec<String> =
-                pipeline.alerts().records().iter().map(|r| r.render()).collect();
-            (report, alerts)
-        };
-        let (serial, serial_alerts) = run(1);
-        let (sharded, sharded_alerts) = run(4);
-        assert_eq!(serial.raw_positions, sharded.raw_positions);
-        assert_eq!(serial.critical_points, sharded.critical_points);
-        assert_eq!(serial.slides, sharded.slides);
-        assert_eq!(serial.ce_total, sharded.ce_total);
-        assert_eq!(serial_alerts, sharded_alerts);
-        let accounted =
-            sharded.archive.points_in_trajectories + sharded.archive.points_in_staging;
-        assert_eq!(accounted as u64, sharded.critical_points);
-    }
-
-    #[test]
-    fn sharded_slides_report_per_shard_timings() {
-        let sim = FleetSimulator::new(FleetConfig::tiny(10));
-        let areas = generate_areas(&AreaGenConfig::default());
-        let vessels: Vec<VesselInfo> = sim.profiles().iter().map(VesselInfo::from).collect();
-        let config = SurveillanceConfig {
-            parallelism: crate::config::Parallelism {
-                tracker_shards: 3,
-                recognition_bands: 2,
-            },
-            ..SurveillanceConfig::default()
-        };
-        let mut pipeline = SurveillancePipeline::new(&config, vessels, areas).unwrap();
-        let stream: Vec<PositionTuple> =
-            sim.generate().into_iter().map(PositionTuple::from).collect();
-        let batches = SlideBatches::new(
-            stream.into_iter().map(|t| (t.timestamp, t)),
-            config.tracking_window,
-            Timestamp::ZERO,
-        );
-        let mut saw_slide = false;
-        for batch in batches {
-            let tuples: Vec<PositionTuple> = batch.items.into_iter().map(|(_, t)| t).collect();
-            let outcome = pipeline.slide(batch.query_time, &tuples);
-            assert_eq!(outcome.shard_timings.len(), 3);
-            saw_slide = true;
-        }
-        assert!(saw_slide);
     }
 
     #[test]

@@ -40,7 +40,6 @@ pub const SERVE_FLAGS: &[FlagSpec] = &[
     flag("--dedup-secs", Some("SECS"), "cross-source duplicate window; 0 disables (default 10)"),
     flag("--track-window", Some("RANGE,SLIDE"), "tracking window in minutes (default 60,5)"),
     flag("--recog-window", Some("RANGE,SLIDE"), "recognition window in minutes (default 360,60)"),
-    flag("--shards", Some("N"), "tracker shards (default 1)"),
     flag("--bands", Some("N"), "recognition bands (default 1)"),
     flag("--incremental", None, "checkpointed incremental recognition"),
     flag("--demo-fleet", Some("N"), "vessel facts for the N-vessel demo fleet (matches 'surveil feed --demo N H')"),
@@ -99,8 +98,6 @@ pub struct ServeCli {
     pub track_window_mins: (i64, i64),
     /// Recognition window (range, slide) minutes.
     pub recog_window_mins: (i64, i64),
-    /// Tracker shards.
-    pub shards: usize,
     /// Recognition bands.
     pub bands: usize,
     /// Incremental recognition.
@@ -137,7 +134,6 @@ impl Default for ServeCli {
             dedup_secs: 10,
             track_window_mins: (60, 5),
             recog_window_mins: (360, 60),
-            shards: 1,
             bands: 1,
             incremental: false,
             demo_fleet: None,
@@ -212,11 +208,6 @@ impl ServeCli {
                 }
                 "--track-window" => cli.track_window_mins = parse_pair(&value(a, &mut it)?)?,
                 "--recog-window" => cli.recog_window_mins = parse_pair(&value(a, &mut it)?)?,
-                "--shards" => {
-                    cli.shards = value(a, &mut it)?
-                        .parse()
-                        .map_err(|_| "--shards needs a positive integer".to_string())?;
-                }
                 "--bands" => {
                     cli.bands = value(a, &mut it)?
                         .parse()
@@ -298,10 +289,7 @@ impl ServeCli {
                 .map_err(|e| format!("--track-window: {e}"))?,
             recognition_window: WindowSpec::new(Duration::minutes(rr), Duration::minutes(rs))
                 .map_err(|e| format!("--recog-window: {e}"))?,
-            parallelism: Parallelism {
-                tracker_shards: self.shards,
-                recognition_bands: self.bands,
-            },
+            parallelism: Parallelism { recognition_bands: self.bands },
             incremental_recognition: self.incremental,
             ..SurveillanceConfig::default()
         })
@@ -592,6 +580,8 @@ mod tests {
     fn unknown_flags_are_rejected() {
         assert!(ServeCli::parse(&argv(&["--bogus"])).is_err());
         assert!(FeedCli::parse(&argv(&["--to", "x:1", "--bogus"])).is_err());
+        // Removed flags fail loudly instead of being ignored.
+        assert!(ServeCli::parse(&argv(&["--shards", "2"])).is_err());
     }
 
     #[test]

@@ -24,10 +24,10 @@
 //! `{"type":"ops",...}` wire line — the operator's pager feed.
 
 use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::Mutex;
 
 use maritime_obs::timeseries::counter_delta;
 use maritime_obs::{flight, names, FlightKind, LazyCounter, LazyGauge, Sample, SampleRing};
-use parking_lot::Mutex;
 
 static OBS_STATE: LazyGauge = LazyGauge::new(names::SERVE_HEALTH_STATE);
 static OBS_TRANSITIONS: LazyCounter = LazyCounter::new(names::SERVE_HEALTH_TRANSITIONS);
@@ -394,7 +394,7 @@ impl ServeTelemetry {
     pub fn set_state(&self, state: HealthState, breaches: &[Breach]) {
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         self.state.store(state.as_gauge() as u8, Ordering::Relaxed);
-        let mut detail = self.detail.lock();
+        let mut detail = self.detail.lock().expect("health detail mutex poisoned");
         detail.clear();
         for b in breaches {
             detail.push_str(&b.detail);
@@ -408,7 +408,7 @@ impl ServeTelemetry {
     pub fn healthz_body(&self) -> String {
         let mut body = String::from(self.state().as_str());
         body.push('\n');
-        body.push_str(&self.detail.lock());
+        body.push_str(&self.detail.lock().expect("health detail mutex poisoned"));
         body
     }
 }

@@ -9,10 +9,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use maritime_obs::{names, LazyCounter, LazyGauge};
-use parking_lot::Mutex;
 
 static OBS_SUBSCRIBERS_CONNECTED: LazyGauge = LazyGauge::new(names::SERVE_SUBSCRIBERS_CONNECTED);
 static OBS_SUBSCRIBERS: LazyCounter = LazyCounter::new(names::SERVE_SUBSCRIBERS);
@@ -64,7 +63,7 @@ impl BroadcastHub {
     pub fn subscribe(&self) -> (u64, EventReceiver) {
         let (tx, rx) = std::sync::mpsc::sync_channel(self.queue_bound);
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.subscribers.lock().push(Subscriber { id, tx });
+        self.subscribers.lock().expect("hub subscriber mutex poisoned").push(Subscriber { id, tx });
         OBS_SUBSCRIBERS.inc();
         OBS_SUBSCRIBERS_CONNECTED.add(1);
         (id, rx)
@@ -74,7 +73,7 @@ impl BroadcastHub {
     /// Unknown ids are fine — the subscriber may already have been
     /// evicted.
     pub fn unsubscribe(&self, id: u64) {
-        let mut subs = self.subscribers.lock();
+        let mut subs = self.subscribers.lock().expect("hub subscriber mutex poisoned");
         if let Some(pos) = subs.iter().position(|s| s.id == id) {
             subs.swap_remove(pos);
             OBS_SUBSCRIBERS_CONNECTED.add(-1);
@@ -87,7 +86,7 @@ impl BroadcastHub {
     /// `serve_dropped_events_total`).
     pub fn broadcast(&self, line: &str) {
         let event: Arc<str> = Arc::from(line);
-        let mut subs = self.subscribers.lock();
+        let mut subs = self.subscribers.lock().expect("hub subscriber mutex poisoned");
         let mut i = 0;
         while i < subs.len() {
             match subs[i].tx.try_send(Arc::clone(&event)) {
@@ -117,7 +116,7 @@ impl BroadcastHub {
     /// Subscribers currently registered.
     #[must_use]
     pub fn subscriber_count(&self) -> usize {
-        self.subscribers.lock().len()
+        self.subscribers.lock().expect("hub subscriber mutex poisoned").len()
     }
 
     /// Subscribers evicted for falling behind, since hub creation.
@@ -134,7 +133,7 @@ impl BroadcastHub {
 
     /// Drops every subscriber, closing all queues (server shutdown).
     pub fn close(&self) {
-        let mut subs = self.subscribers.lock();
+        let mut subs = self.subscribers.lock().expect("hub subscriber mutex poisoned");
         OBS_SUBSCRIBERS_CONNECTED.add(-(subs.len() as i64));
         subs.clear();
     }

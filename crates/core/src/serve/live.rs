@@ -559,4 +559,51 @@ mod tests {
         assert_eq!(batches, 1);
         assert_eq!(q, Timestamp(10));
     }
+
+    /// A sentence stamped at the bottom of the event-time range, echoed
+    /// by an honest source, must pass the mux's dedup check and the
+    /// tracker without overflowing, and the stream must still flush.
+    #[test]
+    fn extreme_past_stamps_beside_an_honest_source_still_flush() {
+        let report = |mmsi: u32, lon: f64| maritime_ais::PositionReport {
+            mmsi: maritime_ais::Mmsi(mmsi),
+            msg_type: maritime_ais::AisMessageType::PositionReportClassA,
+            position: maritime_geo::GeoPoint::new(lon, 37.0),
+            sog_knots: Some(8.0),
+            cog_deg: Some(90.0),
+            timestamp: Timestamp::ZERO,
+        };
+        let mut live = LiveIngest::new(
+            &SurveillanceConfig::default(),
+            Vec::new(),
+            Vec::new(),
+            Duration::secs(30),
+            Duration::secs(60),
+        )
+        .unwrap();
+        let (honest, rogue) = (SourceId(1), SourceId(2));
+        let encode = |mmsi: u32, lon: f64| maritime_ais::nmea::encode_report(&report(mmsi, lon));
+        for i in 0..12i64 {
+            let step = 0.01 * i as f64;
+            let t = Timestamp(600 * (i + 1));
+            let line = encode(237_000_001, 24.0 + step);
+            live.push_line(honest, t, &line);
+            live.push_line(rogue, Timestamp(i64::MIN), &line);
+            live.push_line(rogue, Timestamp(i64::MIN + 1), &line);
+            // The rogue stamp first, then the honest echo of it.
+            let fresh = encode(237_000_002, 25.0 + step);
+            live.push_line(rogue, Timestamp(i64::MIN + 1), &fresh);
+            live.push_line(honest, t, &fresh);
+        }
+        let events = live.flush();
+        assert!(live.flushed());
+        assert!(
+            events
+                .last()
+                .is_some_and(|e| e.starts_with("{\"type\":\"flushed\"")),
+            "flush must end with the flushed marker, got {:?}",
+            events.last()
+        );
+        assert_eq!(live.stats().lines, 60);
+    }
 }

@@ -42,7 +42,7 @@ use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -50,7 +50,6 @@ use maritime_cer::VesselInfo;
 use maritime_geo::Area;
 use maritime_obs::{flight, names, Counter, FlightKind, LazyCounter, MetricsRegistry};
 use maritime_stream::Duration;
-use parking_lot::Mutex;
 
 use crate::config::{ConfigError, SurveillanceConfig};
 
@@ -62,7 +61,7 @@ static OBS_OPS_ALERTS: LazyCounter = LazyCounter::new(names::SERVE_OPS_ALERTS);
 /// view of each knob.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Pipeline configuration (windows, shards, bands, incremental...).
+    /// Pipeline configuration (windows, bands, incremental...).
     pub config: SurveillanceConfig,
     /// Static vessel facts for the recognizer's knowledge base.
     pub vessels: Vec<VesselInfo>,
@@ -225,7 +224,7 @@ impl ServerHandle {
     /// Live-path counters (snapshot under the driver's lock).
     #[must_use]
     pub fn ingest_stats(&self) -> IngestStats {
-        self.live.lock().stats()
+        self.live.lock().expect("live ingest mutex poisoned").stats()
     }
 
     /// Injects one raw line as if a socket source had delivered it —
@@ -451,14 +450,14 @@ fn driver_loop(
     ckpt: Option<&(std::path::PathBuf, u64)>,
 ) {
     let mut last_sample = Instant::now();
-    let mut last_saved_queries = live.lock().stats().queries;
+    let mut last_saved_queries = live.lock().expect("live ingest mutex poisoned").stats().queries;
     loop {
         if shutdown.load(Ordering::SeqCst) {
             break;
         }
         match rx.recv_timeout(std::time::Duration::from_millis(50)) {
             Ok(Ingest::Line { source, t, line }) => {
-                let events = live.lock().push_line(
+                let events = live.lock().expect("live ingest mutex poisoned").push_line(
                     maritime_stream::SourceId(source),
                     maritime_stream::Timestamp(t),
                     &line,
@@ -468,7 +467,7 @@ fn driver_loop(
                 }
             }
             Ok(Ingest::Flush) => {
-                let events = live.lock().flush();
+                let events = live.lock().expect("live ingest mutex poisoned").flush();
                 for event in &events {
                     hub.broadcast(event);
                 }
@@ -481,7 +480,7 @@ fn driver_loop(
             Err(RecvTimeoutError::Disconnected) => break,
         }
         if let Some((dir, every)) = ckpt {
-            let queries = live.lock().stats().queries;
+            let queries = live.lock().expect("live ingest mutex poisoned").stats().queries;
             if queries.saturating_sub(last_saved_queries) >= *every {
                 write_checkpoint(dir, live);
                 last_saved_queries = queries;
@@ -505,7 +504,7 @@ fn driver_loop(
 /// rename, so a crash mid-write can never leave a truncated checkpoint. A
 /// failed write is reported on the flight recorder — serving continues.
 fn write_checkpoint(dir: &std::path::Path, live: &Mutex<LiveIngest>) {
-    let bytes = live.lock().checkpoint();
+    let bytes = live.lock().expect("live ingest mutex poisoned").checkpoint();
     let path = dir.join(CHECKPOINT_FILE);
     let tmp = dir.join(format!("{CHECKPOINT_FILE}.tmp"));
     let result = std::fs::create_dir_all(dir)
@@ -576,7 +575,7 @@ impl Sampler {
     /// recorder — the per-feed death marker.
     fn mirror_sources(&mut self, live: &Mutex<LiveIngest>) {
         let stats: Vec<(u32, [u64; 4])> = {
-            let live = live.lock();
+            let live = live.lock().expect("live ingest mutex poisoned");
             live.sources()
                 .map(|(id, s)| (id.0, [s.lines, s.accepted, s.filtered, s.duplicates]))
                 .collect()

@@ -14,11 +14,10 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::mpsc::SyncSender;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use maritime_obs::{names, LazyCounter, LazyGauge};
-use parking_lot::Mutex;
 
 use super::health::ServeTelemetry;
 use super::hub::BroadcastHub;
@@ -358,7 +357,7 @@ fn respond(stream: &mut TcpStream, status: &str, content_type: &str, body: &str)
 
 /// Renders the per-source mux counters as a JSON array.
 fn sources_json(live: &Mutex<LiveIngest>) -> String {
-    let live = live.lock();
+    let live = live.lock().expect("live ingest mutex poisoned");
     let rows: Vec<String> = live
         .sources()
         .map(|(id, s)| {

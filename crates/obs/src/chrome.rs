@@ -4,8 +4,9 @@
 //! format — the JSON schema understood by `chrome://tracing` and
 //! [Perfetto](https://ui.perfetto.dev) — so one sliding-window run can be
 //! inspected as a per-thread timeline: every window slide shows its
-//! decode / track / slide / recognize phases, and sharded tracker slides
-//! appear as parallel lanes (one `tid` per OS thread).
+//! decode / track / slide / recognize phases, and work on other threads
+//! (recognition bands, the live server's threads) appears as parallel
+//! lanes (one `tid` per OS thread).
 //!
 //! The collector is *installed*, not merely enabled: until
 //! [`install`] is called the per-span cost is a single relaxed

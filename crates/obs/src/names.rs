@@ -7,8 +7,8 @@
 //! `OBSERVABILITY.md` handbook can be diffed against this list by a test.
 //!
 //! Naming follows Prometheus conventions: `snake_case`, a stage prefix
-//! (`ais_`, `tracker_`, `shard_`, `stream_`, `geo_`, `modstore_`, `rtec_`,
-//! `cer_`, `pipeline_`, `trace_`, `chaos_`, `serve_`), `_total` suffix on
+//! (`ais_`, `tracker_`, `stream_`, `geo_`, `modstore_`, `rtec_`, `cer_`,
+//! `pipeline_`, `trace_`, `chaos_`, `serve_`), `_total` suffix on
 //! counters, `_ns` suffix on nanosecond histograms.
 
 //!
@@ -50,17 +50,6 @@ pub const TRACKER_WINDOW_POINTS: &str = "tracker_window_points";
 pub const TRACKER_EVICTED_POINTS: &str = "tracker_evicted_points_total";
 /// Wall time per tracker window slide.
 pub const TRACKER_SLIDE_NS: &str = "tracker_slide_ns";
-
-// ---- Sharded tracker -----------------------------------------------------
-
-/// Per-shard batches routed by the MMSI-hash router.
-pub const SHARD_BATCHES_ROUTED: &str = "shard_batches_routed_total";
-/// Slide/finish commands sent to shard workers but not yet completed.
-pub const SHARD_COMMANDS_INFLIGHT: &str = "shard_commands_inflight";
-/// Time the feeder spent blocked sending into a shard's bounded channel.
-pub const SHARD_SEND_WAIT_NS: &str = "shard_send_wait_ns";
-/// Largest-minus-smallest routed batch size in the most recent slide.
-pub const SHARD_BATCH_IMBALANCE: &str = "shard_batch_imbalance";
 
 // ---- Stream windowing ----------------------------------------------------
 
@@ -348,11 +337,6 @@ pub const CATALOG: &[Descriptor] = &[
     g(TRACKER_WINDOW_POINTS, "points", "Critical points resident in the tracking window"),
     c(TRACKER_EVICTED_POINTS, "points", "Critical points evicted by window slides"),
     h(TRACKER_SLIDE_NS, "ns", "Wall time per tracker window slide"),
-    // Sharded tracker
-    c(SHARD_BATCHES_ROUTED, "batches", "Per-shard batches routed by the MMSI-hash router"),
-    g(SHARD_COMMANDS_INFLIGHT, "commands", "Shard commands sent but not yet completed"),
-    h(SHARD_SEND_WAIT_NS, "ns", "Feeder blocking time on bounded shard channels"),
-    g(SHARD_BATCH_IMBALANCE, "points", "Max-minus-min routed batch size, latest slide"),
     // Stream windowing
     c(STREAM_WINDOW_SLIDES, "slides", "Window slide operations across sliding windows"),
     c(STREAM_WINDOW_EVICTIONS, "items", "Items evicted from sliding windows"),
@@ -441,8 +425,8 @@ mod tests {
     #[test]
     fn catalog_follows_conventions() {
         let prefixes = [
-            "ais_", "tracker_", "shard_", "stream_", "geo_", "modstore_", "rtec_", "cer_",
-            "pipeline_", "trace_", "chaos_", "serve_",
+            "ais_", "tracker_", "stream_", "geo_", "modstore_", "rtec_", "cer_", "pipeline_",
+            "trace_", "chaos_", "serve_",
         ];
         for d in CATALOG {
             assert!(
@@ -474,8 +458,8 @@ mod tests {
     #[test]
     fn families_follow_conventions() {
         let prefixes = [
-            "ais_", "tracker_", "shard_", "stream_", "geo_", "modstore_", "rtec_", "cer_",
-            "pipeline_", "trace_", "chaos_", "serve_",
+            "ais_", "tracker_", "stream_", "geo_", "modstore_", "rtec_", "cer_", "pipeline_",
+            "trace_", "chaos_", "serve_",
         ];
         let mut seen = HashSet::new();
         for f in FAMILIES {

@@ -18,14 +18,12 @@
 
 pub mod admission;
 pub mod rate;
-pub mod shard;
 pub mod slider;
 pub mod source;
 pub mod time;
 pub mod window;
 
 pub use admission::{AdmissionBuffer, AdmissionStats};
-pub use shard::ShardRouter;
 pub use source::{SourceId, SourceMux, SourceStats, SourceVerdict};
 pub use slider::SlideBatches;
 pub use time::{Duration, Timestamp};

@@ -62,7 +62,7 @@ impl SourceStats {
     #[must_use]
     pub fn sentences_per_sec(&self) -> f64 {
         let span = match (self.first_seen, self.last_seen) {
-            (Some(a), Some(b)) => (b.0 - a.0).max(1),
+            (Some(a), Some(b)) => b.0.saturating_sub(a.0).max(1),
             _ => 1,
         };
         self.accepted as f64 / span as f64
@@ -116,14 +116,14 @@ impl SourceMux {
         if self.dedup_window.0 > 0 {
             let h = fnv1a(line.as_bytes());
             if let Some(&prev) = self.seen.get(&h) {
-                if (t.0 - prev.0).abs() <= self.dedup_window.0 {
+                if t.0.abs_diff(prev.0) <= self.dedup_window.0.unsigned_abs() {
                     stat.duplicates += 1;
                     return SourceVerdict::Duplicate;
                 }
             }
             if self.seen.len() >= DEDUP_TABLE_CAP {
-                let window = self.dedup_window.0;
-                self.seen.retain(|_, &mut prev| (t.0 - prev.0).abs() <= window);
+                let window = self.dedup_window.0.unsigned_abs();
+                self.seen.retain(|_, &mut prev| t.0.abs_diff(prev.0) <= window);
             }
             self.seen.insert(h, t);
         }
@@ -229,6 +229,28 @@ mod tests {
             mux.admit(SourceId(1), Timestamp(0), LINE),
             SourceVerdict::Accepted
         );
+    }
+
+    #[test]
+    fn extreme_stamps_neither_overflow_dedup_nor_prune() {
+        let mut mux = SourceMux::new(Duration(10));
+        let s = SourceId(1);
+        let min = Timestamp(i64::MIN);
+        assert_eq!(mux.admit(s, Timestamp(100), LINE), SourceVerdict::Accepted);
+        assert_eq!(mux.admit(s, min, LINE), SourceVerdict::Accepted);
+        assert_eq!(mux.admit(s, Timestamp(i64::MIN + 1), LINE), SourceVerdict::Duplicate);
+        // Fill the table so the next admission prunes across the full range.
+        for i in 0..DEDUP_TABLE_CAP {
+            mux.admit(s, min, &format!("!AIVDM,{i}"));
+        }
+        let max = Timestamp(i64::MAX);
+        assert_eq!(mux.admit(s, max, "!AIVDM,late"), SourceVerdict::Accepted);
+        assert_eq!(mux.seen.len(), 1);
+        // A source spanning the whole range still reports a rate.
+        let r = SourceId(2);
+        mux.admit(r, min, LINE);
+        mux.admit(r, max, LINE);
+        assert!(mux.stats(r).unwrap().sentences_per_sec() >= 0.0);
     }
 
     #[test]

@@ -31,9 +31,11 @@ impl Timestamp {
     }
 
     /// Time elapsed from `earlier` to `self`; zero if `earlier` is later.
+    /// Saturates at `i64::MAX` seconds, so any two wire timestamps are
+    /// safe to compare.
     #[must_use]
     pub fn since(self, earlier: Timestamp) -> Duration {
-        Duration((self.0 - earlier.0).max(0))
+        Duration(self.0.saturating_sub(earlier.0).max(0))
     }
 }
 
@@ -94,17 +96,20 @@ impl Duration {
     }
 }
 
+/// Saturates at the ends of `i64` rather than wrapping: event time comes
+/// off the wire and may be any `i64`.
 impl std::ops::Add<Duration> for Timestamp {
     type Output = Timestamp;
     fn add(self, rhs: Duration) -> Timestamp {
-        Timestamp(self.0 + rhs.0)
+        Timestamp(self.0.saturating_add(rhs.0))
     }
 }
 
+/// Saturates like `Timestamp + Duration`.
 impl std::ops::Sub<Duration> for Timestamp {
     type Output = Timestamp;
     fn sub(self, rhs: Duration) -> Timestamp {
-        Timestamp(self.0 - rhs.0)
+        Timestamp(self.0.saturating_sub(rhs.0))
     }
 }
 
@@ -150,12 +155,22 @@ mod tests {
         let t = Timestamp(100) + Duration::secs(50);
         assert_eq!(t, Timestamp(150));
         assert_eq!(t - Duration::secs(150), Timestamp::ZERO);
+        assert_eq!(
+            Timestamp(i64::MIN + 1) - Duration::secs(10),
+            Timestamp(i64::MIN)
+        );
+        assert_eq!(
+            Timestamp(i64::MAX) + Duration::secs(10),
+            Timestamp(i64::MAX)
+        );
     }
 
     #[test]
     fn since_is_saturating() {
         assert_eq!(Timestamp(10).since(Timestamp(100)), Duration::ZERO);
         assert_eq!(Timestamp(100).since(Timestamp(10)), Duration::secs(90));
+        assert_eq!(Timestamp(i64::MAX).since(Timestamp(-5)), Duration(i64::MAX));
+        assert_eq!(Timestamp(i64::MIN).since(Timestamp(5)), Duration::ZERO);
     }
 
     #[test]

@@ -138,6 +138,16 @@ pub struct CriticalPoint {
     pub heading_deg: f64,
 }
 
+/// Orders critical points canonically: stable sort by `(timestamp, mmsi)`.
+///
+/// The tracker emits each vessel's points in per-vessel time order, so a
+/// *stable* sort on this key maps any interleaving of independent vessels
+/// to the same sequence — the order golden fixtures are stored and
+/// compared in.
+pub fn canonical_order(points: &mut [CriticalPoint]) {
+    points.sort_by_key(|cp| (cp.timestamp, cp.mmsi.0));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,7 +18,7 @@
 //! function of the two endpoints), and they are summed in the same
 //! logical order with the same `0.0`-seeded left fold, so the floating-
 //! point result is identical bit for bit. A proptest in this module and
-//! the differential suites in `crates/tracker/tests/` hold this invariant.
+//! the golden trace (`tests/golden_trace.rs`) hold this invariant.
 
 use maritime_geo::{haversine_distance_m, mps_to_knots, GeoPoint};
 use maritime_stream::Timestamp;

@@ -19,8 +19,6 @@
 //! * [`tracker`] — the fleet-level *Mobility Tracker* of Figure 1;
 //! * [`window`] — windowed operation: per-slide batches, "delta" critical
 //!   point eviction toward the staging area;
-//! * [`sharded`] — MMSI-sharded parallel operation across worker threads,
-//!   differentially equivalent to the serial tracker;
 //! * [`compression`] — compression-ratio accounting (Figure 9);
 //! * [`accuracy`] — synchronized RMSE of reconstructed trajectories
 //!   (Figure 8);
@@ -36,16 +34,14 @@ pub mod compression;
 pub mod events;
 pub mod history;
 pub mod params;
-pub mod sharded;
 pub mod synopsis;
 pub mod tracker;
 pub mod velocity;
 pub mod vessel;
 pub mod window;
 
-pub use events::{Annotation, CriticalPoint, MovementEventKind};
+pub use events::{canonical_order, Annotation, CriticalPoint, MovementEventKind};
 pub use params::TrackerParams;
-pub use sharded::{canonical_order, ShardedSlideReport, ShardedTracker};
 pub use tracker::{MmsiHashBuilder, MobilityTracker};
 pub use velocity::VelocityVector;
 pub use window::{SlideReport, WindowedTracker};

@@ -50,8 +50,8 @@ impl Hasher for MmsiHasher {
 /// Hash-state builder for the fleet map.
 pub type MmsiHashBuilder = BuildHasherDefault<MmsiHasher>;
 
-/// Global tracking metrics (see `OBSERVABILITY.md`). Counters sum exactly
-/// across the MMSI-sharded workers because shards partition the fleet.
+/// Global tracking metrics (see `OBSERVABILITY.md`). Counters sum across
+/// every live tracker in the process.
 static OBS_INGESTED: LazyCounter = LazyCounter::new(names::TRACKER_POINTS_INGESTED);
 static OBS_CRITICAL: LazyCounter = LazyCounter::new(names::TRACKER_CRITICAL_POINTS);
 

@@ -26,7 +26,7 @@ impl VelocityVector {
     /// define a velocity (duplicate or out-of-order fix).
     #[must_use]
     pub fn between(p1: GeoPoint, t1: Timestamp, p2: GeoPoint, t2: Timestamp) -> Option<Self> {
-        let dt = (t2.as_secs() - t1.as_secs()) as f64;
+        let dt = t2.since(t1).as_secs() as f64;
         if dt <= 0.0 {
             return None;
         }

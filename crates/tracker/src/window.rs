@@ -15,9 +15,9 @@ use crate::events::CriticalPoint;
 use crate::params::TrackerParams;
 use crate::tracker::MobilityTracker;
 
-/// Windowed-tracking metrics (see `OBSERVABILITY.md`). The gauges report
-/// per-tracker levels; under sharding each shard overwrites them in turn,
-/// so they read as "one shard's level" — the counters sum exactly.
+/// Windowed-tracking metrics (see `OBSERVABILITY.md`). Each tracker
+/// publishes gauge deltas, so the gauges read as the sum over live
+/// trackers; the counters sum exactly.
 static OBS_EVICTED: LazyCounter = LazyCounter::new(names::TRACKER_EVICTED_POINTS);
 static OBS_WINDOW_POINTS: LazyGauge = LazyGauge::new(names::TRACKER_WINDOW_POINTS);
 static OBS_ACTIVE_VESSELS: LazyGauge = LazyGauge::new(names::TRACKER_ACTIVE_VESSELS);
@@ -43,8 +43,8 @@ pub struct WindowedTracker {
     tracker: MobilityTracker,
     window: SlidingWindow<CriticalPoint>,
     /// Levels last pushed to the global gauges, so this instance publishes
-    /// *deltas*: the gauges then read as the sum over live instances (one
-    /// per shard), matching the serial tracker's level exactly.
+    /// *deltas*: the gauges then read as the sum over live instances,
+    /// which is this tracker's own level when it is the only one.
     obs_window_level: i64,
     obs_vessel_level: i64,
 }
@@ -127,7 +127,7 @@ impl WindowedTracker {
 impl Drop for WindowedTracker {
     fn drop(&mut self) {
         // Retract this instance's gauge contributions so short-lived
-        // trackers (tests, re-created shards) leave no residue.
+        // trackers (tests, restored pipelines) leave no residue.
         OBS_WINDOW_POINTS.add(-self.obs_window_level);
         OBS_ACTIVE_VESSELS.add(-self.obs_vessel_level);
     }

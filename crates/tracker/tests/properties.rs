@@ -138,49 +138,3 @@ proptest! {
         prop_assert_eq!(raw_sum, report.raw_positions);
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn shard_routing_is_stable_and_in_range(
-        shards in 1usize..17,
-        keys in prop::collection::vec(any::<u64>(), 1..64),
-    ) {
-        use maritime_stream::ShardRouter;
-        let a = ShardRouter::new(shards);
-        let b = ShardRouter::new(shards);
-        for k in keys {
-            let shard = a.route(k);
-            prop_assert!(shard < shards);
-            // Routing is a pure function of (key, shard count): two
-            // routers agree, and repeated calls agree.
-            prop_assert_eq!(shard, b.route(k));
-            prop_assert_eq!(shard, a.route(k));
-        }
-    }
-
-    #[test]
-    fn shard_routing_is_uniform_within_tolerance(
-        shards in 2usize..9,
-        base in 0u32..1_000_000,
-    ) {
-        use maritime_stream::ShardRouter;
-        // Realistic MMSI blocks share a long prefix; the mixer must still
-        // spread them evenly. Tolerance: ±25% of the expected share over
-        // a 4 000-vessel fleet.
-        let router = ShardRouter::new(shards);
-        let fleet = 4_000u32;
-        let mut counts = vec![0usize; shards];
-        for i in 0..fleet {
-            counts[router.route(u64::from(237_000_000 + base + i))] += 1;
-        }
-        let expected = fleet as usize / shards;
-        for (shard, &n) in counts.iter().enumerate() {
-            prop_assert!(
-                n > expected * 3 / 4 && n < expected * 5 / 4,
-                "shard {shard} got {n} of ~{expected}: {counts:?}"
-            );
-        }
-    }
-}

@@ -255,7 +255,6 @@ fn incremental_pipeline_matches_from_scratch_end_to_end() {
     let run = |incremental: bool, bands: usize| {
         let config = SurveillanceConfig {
             parallelism: Parallelism {
-                tracker_shards: 1,
                 recognition_bands: bands,
             },
             incremental_recognition: incremental,
